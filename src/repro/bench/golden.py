@@ -127,3 +127,248 @@ GOLDEN_DIGESTS: dict[str, str] = {
     "stride": "0fdaa9967c60d47a5c41fcd11f4ce671dccb3e760e834d2c76dd0b33df7b656a",
     "rr": "f922c81fda9fe90a5435f3cd3cff19901dfacd322470bed2fc3b8ee80c7c4989",
 }
+
+
+# ----------------------------------------------------------------------
+# closed-loop pins: tracer -> analyser -> controller -> supervisor
+# ----------------------------------------------------------------------
+def _runtime(telemetry: bool, **kwargs):
+    """A fresh runtime, instrumented before any spawn when asked."""
+    from repro.core import SelfTuningRuntime
+    from repro.obs.instrument import instrument_runtime
+
+    rt = SelfTuningRuntime(**kwargs)
+    if telemetry:
+        instrument_runtime(rt)
+    return rt
+
+
+def _video_playback(rt, *, n_frames, seed, wrap_program=None, **adopt):
+    """mplayer + inter-frame probe + desktop mix, adopted with ``adopt``."""
+    from repro.metrics import InterFrameProbe
+    from repro.workloads import VideoPlayer
+    from repro.workloads.desktop import desktop_load, desktop_suite
+    from repro.workloads.mplayer import VideoPlayerConfig
+
+    program = VideoPlayer(VideoPlayerConfig(seed=seed)).program(n_frames)
+    if wrap_program is not None:
+        program = wrap_program(program)
+    proc = rt.spawn("mplayer", program)
+    InterFrameProbe(pid=proc.pid).install(rt.kernel)
+    for i, cfg in enumerate(desktop_suite(seed + 40)):
+        rt.spawn(f"desktop{i}", desktop_load(cfg))
+    return rt.adopt(proc, **adopt)
+
+
+def _lfspp_adopt(**controller):
+    from repro.core import LfsPlusPlus
+    from repro.core.analyser import AnalyserConfig
+    from repro.core.controller import TaskControllerConfig
+    from repro.experiments.fig13 import VIDEO_SPECTRUM
+    from repro.sim.time import MS, SEC
+
+    return {
+        "feedback": LfsPlusPlus(),
+        "controller_config": TaskControllerConfig(sampling_period=100 * MS, **controller),
+        "analyser_config": AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC),
+    }
+
+
+def _horizon(n_frames: int) -> int:
+    from repro.sim.time import MS
+
+    return (n_frames * 40 + 2000) * MS
+
+
+def _fig13_lfspp(telemetry: bool):
+    """Figure 13's LFS++ playback, 150 frames."""
+    rt = _runtime(telemetry)
+    _video_playback(rt, n_frames=150, seed=13, **_lfspp_adopt())
+    return rt, _horizon(150)
+
+
+def _fig13_lfs(telemetry: bool):
+    """Figure 13's original-LFS playback (no analyser), 150 frames."""
+    from repro.core import Lfs
+    from repro.core.controller import TaskControllerConfig
+    from repro.sim.time import MS
+
+    rt = _runtime(telemetry)
+    _video_playback(
+        rt,
+        n_frames=150,
+        seed=13,
+        feedback=Lfs(),
+        controller_config=TaskControllerConfig(sampling_period=40 * MS, use_period_estimate=False),
+        analyser_config=None,
+    )
+    return rt, _horizon(150)
+
+
+def _tab03_load50(telemetry: bool):
+    """One Table 3 point: the playback beside 50% static RT load."""
+    from repro.workloads import periodic_task
+    from repro.workloads.periodic import load_set
+
+    rt = _runtime(telemetry)
+    seed = 3000
+    _video_playback(rt, n_frames=150, seed=seed, **_lfspp_adopt())
+    for i, cfg in enumerate(load_set(0.5, seed=seed + 50)):
+        lp = rt.spawn(f"rtload{i}", periodic_task(cfg))
+        rt.add_static_reservation(lp, budget=int(cfg.cost * 1.05) + 200_000, period=cfg.period)
+    return rt, _horizon(150)
+
+
+def _events_cliff(telemetry: bool):
+    """events-vs-periodic in event mode, run 4 s past the decode cliff."""
+    from repro.core import EventTriggerConfig
+    from repro.experiments.events import CLIFF_AT, COMPUTE_FACTOR
+    from repro.faults.injectors import WorkloadFaults
+    from repro.faults.plan import FaultPlan
+
+    seed = 9100
+    cliff = WorkloadFaults(
+        overload=FaultPlan.steps([(CLIFF_AT, None, 0.8)]),
+        compute_factor=COMPUTE_FACTOR,
+        seed=seed,
+    )
+    rt = _runtime(telemetry)
+    _video_playback(
+        rt,
+        n_frames=200,
+        seed=seed,
+        wrap_program=cliff.wrap,
+        **_lfspp_adopt(trigger="event", events=EventTriggerConfig()),
+    )
+    return rt, _horizon(200)
+
+
+def _faults_saturation(telemetry: bool):
+    """The hardened saturation fault scenario: Eq. 1 compression + watchdog."""
+    from repro.faults.harness import FaultHarness
+    from repro.faults.injectors import SupervisorSaturation
+    from repro.faults.plan import FaultPlan
+    from repro.faults.scenarios import FAULT_END, FAULT_START, _hardened_configs
+    from repro.core import LfsPlusPlus
+    from repro.sim.time import MS
+
+    seed = 13
+    rt = _runtime(telemetry)
+    controller_config, analyser_config = _hardened_configs(True)
+    _video_playback(
+        rt,
+        n_frames=200,
+        seed=seed,
+        feedback=LfsPlusPlus(),
+        controller_config=controller_config,
+        analyser_config=analyser_config,
+        u_min=0.15,
+    )
+    harness = FaultHarness()
+    harness.add(
+        SupervisorSaturation(FaultPlan.burst(FAULT_START, FAULT_END, 1.0), bandwidth=1.0, seed=seed)
+    ).arm(rt.supervisor, rt.kernel)
+    rt.kernel.fault_plan = harness
+    rt.supervisor.start_watchdog(rt.kernel, 500 * MS)
+    return rt, _horizon(200)
+
+
+def _daemon(telemetry: bool):
+    """``repro-exp trace daemon``: probe, reject ffmpeg, adopt mplayer."""
+    from repro.core.analyser import AnalyserConfig
+    from repro.core.controller import TaskControllerConfig
+    from repro.core.daemon import SelfTuningDaemon
+    from repro.core.spectrum import SpectrumConfig
+    from repro.obs.instrument import instrument_daemon
+    from repro.sim.time import MS, SEC
+    from repro.workloads import FfmpegConfig, VideoPlayer, ffmpeg_transcode
+    from repro.workloads.desktop import desktop_load, desktop_suite
+    from repro.workloads.mplayer import VideoPlayerConfig
+
+    seed = 21
+    rt = _runtime(False)
+    rt.spawn("mplayer", VideoPlayer(VideoPlayerConfig(seed=seed)).program(280))
+    rt.spawn("ffmpeg", ffmpeg_transcode(FfmpegConfig(n_frames=4000, seed=5)))
+    for i, cfg in enumerate(desktop_suite(seed + 56)):
+        rt.spawn(f"desktop{i}", desktop_load(cfg))
+    daemon = SelfTuningDaemon(
+        rt,
+        analyser_config=AnalyserConfig(
+            spectrum=SpectrumConfig(f_min=20.0, f_max=100.0, df=0.1), horizon_ns=2 * SEC
+        ),
+        controller_config=TaskControllerConfig(sampling_period=100 * MS),
+    )
+    if telemetry:
+        instrument_daemon(daemon)
+    daemon.start()
+    return rt, 8 * SEC
+
+
+#: closed-loop scenario name -> ``build(telemetry) -> (runtime, horizon)``;
+#: short horizons of the experiments' own configurations and seeds
+CLOSED_LOOP_SCENARIOS = {
+    "fig13-lfspp": _fig13_lfspp,
+    "fig13-lfs": _fig13_lfs,
+    "tab03-load50": _tab03_load50,
+    "events-cliff": _events_cliff,
+    "faults-saturation": _faults_saturation,
+    "daemon": _daemon,
+}
+
+
+def closed_loop_digest(name: str, *, telemetry: bool = False) -> str:
+    """Run closed-loop scenario ``name`` and digest the whole feedback loop.
+
+    On top of the :func:`attach_digest` fingerprint of the kernel, the
+    digest folds in what the tracer -> analyser -> controller ->
+    supervisor chain decided, for every adopted task in pid order:
+
+    - every analyser activation: its virtual time and the estimate
+      (period, grid frequency, window size) or ``None``;
+    - every granted ``(budget, period)`` pair the controller actuated;
+
+    and the virtual time of every supervisor compression (Eq. 1).
+    ``telemetry=True`` instruments the runtime before anything spawns;
+    the digest must not move.
+    """
+    rt, horizon = CLOSED_LOOP_SCENARIOS[name](telemetry)
+    kernel = rt.kernel
+    finalize = attach_digest(kernel)
+    compressions: list[int] = []
+    previous = rt.supervisor.trigger_hook
+
+    def on_trigger(signal: str) -> None:
+        if signal == "compression":
+            compressions.append(kernel.clock)
+        if previous is not None:
+            previous(signal)
+
+    rt.supervisor.trigger_hook = on_trigger
+    rt.run(horizon)
+
+    sha = hashlib.sha256(finalize().encode())
+    for pid in sorted(rt.tasks):
+        task = rt.tasks[pid]
+        sha.update(b"|task:%d" % pid)
+        for stamp, est in task.analyser.history if task.analyser is not None else ():
+            if est is None:
+                sha.update(b"|est:%d:-" % stamp)
+            else:
+                sha.update(f"|est:{stamp}:{est.period_ns}:{est.frequency!r}:{est.n_events}".encode())
+        for now, granted in task.controller.granted_history:
+            sha.update(b"|grant:%d:%d:%d" % (now, granted.budget, granted.period))
+    sha.update(b"|compressions:" + b",".join(b"%d" % t for t in compressions))
+    return sha.hexdigest()
+
+
+#: closed-loop digests recorded on the hand-built playbacks the
+#: experiments used before they shared one builder; regenerate under the
+#: same rule as :data:`GOLDEN_DIGESTS`
+CLOSED_LOOP_DIGESTS: dict[str, str] = {
+    "fig13-lfspp": "35a9cd359b42a0063026135d5341a693cf8e3acb235cecf9858048c134e3baaf",
+    "fig13-lfs": "5690072c55ab68be7ea3098af96bd2248ae19f21080f47e865457678ab0290d1",
+    "tab03-load50": "9f5e5099145405f8a76b395e27c8e3fd1ea54864201f9cf85a03c12a63765c61",
+    "events-cliff": "bd0f140958b9905d13a7deb2e70e06b04009402aadff8fc86f4ab749bc115225",
+    "faults-saturation": "1bf2687ea41dc1b8b794b0c9a7f47794a8d268db7e4b463f515d8007c93a8c8c",
+    "daemon": "adbc925e3b2ba334f78d4e3b3e73b96fa0c41c9013ecf11b01fd4313b3ee7d16",
+}
