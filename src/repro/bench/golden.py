@@ -13,11 +13,17 @@ change about a run of a :mod:`repro.bench.scenarios` scenario:
 simulator; ``tests/sim/test_golden_traces.py`` asserts them on every CI
 run, so a hot-path change that perturbs even one context switch by one
 nanosecond fails the build.
+
+:data:`CLOSED_LOOP_DIGESTS` does the same for the feedback loop those
+open-loop scenarios leave out: :func:`closed_loop_digest` runs short
+playbacks of the paper's experiments and folds every period estimate,
+grant and supervisor compression into the kernel fingerprint.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 from repro.bench.scenarios import GOLDEN_DURATION_NS, build_scenario
 
@@ -132,46 +138,15 @@ GOLDEN_DIGESTS: dict[str, str] = {
 # ----------------------------------------------------------------------
 # closed-loop pins: tracer -> analyser -> controller -> supervisor
 # ----------------------------------------------------------------------
-def _runtime(telemetry: bool, **kwargs):
+def _runtime(telemetry: bool):
     """A fresh runtime, instrumented before any spawn when asked."""
     from repro.core import SelfTuningRuntime
     from repro.obs.instrument import instrument_runtime
 
-    rt = SelfTuningRuntime(**kwargs)
+    rt = SelfTuningRuntime()
     if telemetry:
         instrument_runtime(rt)
     return rt
-
-
-def _video_playback(rt, *, n_frames, seed, wrap_program=None, **adopt):
-    """mplayer + inter-frame probe + desktop mix, adopted with ``adopt``."""
-    from repro.metrics import InterFrameProbe
-    from repro.workloads import VideoPlayer
-    from repro.workloads.desktop import desktop_load, desktop_suite
-    from repro.workloads.mplayer import VideoPlayerConfig
-
-    program = VideoPlayer(VideoPlayerConfig(seed=seed)).program(n_frames)
-    if wrap_program is not None:
-        program = wrap_program(program)
-    proc = rt.spawn("mplayer", program)
-    InterFrameProbe(pid=proc.pid).install(rt.kernel)
-    for i, cfg in enumerate(desktop_suite(seed + 40)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-    return rt.adopt(proc, **adopt)
-
-
-def _lfspp_adopt(**controller):
-    from repro.core import LfsPlusPlus
-    from repro.core.analyser import AnalyserConfig
-    from repro.core.controller import TaskControllerConfig
-    from repro.experiments.fig13 import VIDEO_SPECTRUM
-    from repro.sim.time import MS, SEC
-
-    return {
-        "feedback": LfsPlusPlus(),
-        "controller_config": TaskControllerConfig(sampling_period=100 * MS, **controller),
-        "analyser_config": AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC),
-    }
 
 
 def _horizon(n_frames: int) -> int:
@@ -180,86 +155,51 @@ def _horizon(n_frames: int) -> int:
     return (n_frames * 40 + 2000) * MS
 
 
-def _fig13_lfspp(telemetry: bool):
-    """Figure 13's LFS++ playback, 150 frames."""
-    rt = _runtime(telemetry)
-    _video_playback(rt, n_frames=150, seed=13, **_lfspp_adopt())
-    return rt, _horizon(150)
-
-
-def _fig13_lfs(telemetry: bool):
-    """Figure 13's original-LFS playback (no analyser), 150 frames."""
-    from repro.core import Lfs
-    from repro.core.controller import TaskControllerConfig
-    from repro.sim.time import MS
+def _fig13(law: str, telemetry: bool):
+    """Figure 13's playback under ``law``, 150 frames."""
+    from repro.experiments.fig13 import build_playback, law_config
 
     rt = _runtime(telemetry)
-    _video_playback(
-        rt,
-        n_frames=150,
-        seed=13,
-        feedback=Lfs(),
-        controller_config=TaskControllerConfig(sampling_period=40 * MS, use_period_estimate=False),
-        analyser_config=None,
-    )
+    build_playback(rt, n_frames=150, seed=13, **law_config(law))
     return rt, _horizon(150)
 
 
 def _tab03_load50(telemetry: bool):
     """One Table 3 point: the playback beside 50% static RT load."""
-    from repro.workloads import periodic_task
-    from repro.workloads.periodic import load_set
+    from repro.experiments.fig13 import build_playback
+    from repro.experiments.tab03 import spawn_rt_load
 
     rt = _runtime(telemetry)
-    seed = 3000
-    _video_playback(rt, n_frames=150, seed=seed, **_lfspp_adopt())
-    for i, cfg in enumerate(load_set(0.5, seed=seed + 50)):
-        lp = rt.spawn(f"rtload{i}", periodic_task(cfg))
-        rt.add_static_reservation(lp, budget=int(cfg.cost * 1.05) + 200_000, period=cfg.period)
+    build_playback(rt, n_frames=150, seed=3000)
+    spawn_rt_load(rt, 0.5, seed=3000)
     return rt, _horizon(150)
 
 
 def _events_cliff(telemetry: bool):
     """events-vs-periodic in event mode, run 4 s past the decode cliff."""
-    from repro.core import EventTriggerConfig
-    from repro.experiments.events import CLIFF_AT, COMPUTE_FACTOR
-    from repro.faults.injectors import WorkloadFaults
-    from repro.faults.plan import FaultPlan
+    from repro.experiments.events import build_cliff_playback
 
-    seed = 9100
-    cliff = WorkloadFaults(
-        overload=FaultPlan.steps([(CLIFF_AT, None, 0.8)]),
-        compute_factor=COMPUTE_FACTOR,
-        seed=seed,
-    )
     rt = _runtime(telemetry)
-    _video_playback(
-        rt,
-        n_frames=200,
-        seed=seed,
-        wrap_program=cliff.wrap,
-        **_lfspp_adopt(trigger="event", events=EventTriggerConfig()),
-    )
+    build_cliff_playback(rt, "event", 0.8, n_frames=200, seed=9100)
     return rt, _horizon(200)
 
 
 def _faults_saturation(telemetry: bool):
     """The hardened saturation fault scenario: Eq. 1 compression + watchdog."""
+    from repro.experiments.fig13 import build_playback
     from repro.faults.harness import FaultHarness
     from repro.faults.injectors import SupervisorSaturation
     from repro.faults.plan import FaultPlan
     from repro.faults.scenarios import FAULT_END, FAULT_START, _hardened_configs
-    from repro.core import LfsPlusPlus
     from repro.sim.time import MS
 
     seed = 13
     rt = _runtime(telemetry)
     controller_config, analyser_config = _hardened_configs(True)
-    _video_playback(
+    build_playback(
         rt,
         n_frames=200,
         seed=seed,
-        feedback=LfsPlusPlus(),
         controller_config=controller_config,
         analyser_config=analyser_config,
         u_min=0.15,
@@ -275,29 +215,12 @@ def _faults_saturation(telemetry: bool):
 
 def _daemon(telemetry: bool):
     """``repro-exp trace daemon``: probe, reject ffmpeg, adopt mplayer."""
-    from repro.core.analyser import AnalyserConfig
-    from repro.core.controller import TaskControllerConfig
-    from repro.core.daemon import SelfTuningDaemon
-    from repro.core.spectrum import SpectrumConfig
     from repro.obs.instrument import instrument_daemon
-    from repro.sim.time import MS, SEC
-    from repro.workloads import FfmpegConfig, VideoPlayer, ffmpeg_transcode
-    from repro.workloads.desktop import desktop_load, desktop_suite
-    from repro.workloads.mplayer import VideoPlayerConfig
+    from repro.obs.scenarios import build_daemon
+    from repro.sim.time import SEC
 
-    seed = 21
     rt = _runtime(False)
-    rt.spawn("mplayer", VideoPlayer(VideoPlayerConfig(seed=seed)).program(280))
-    rt.spawn("ffmpeg", ffmpeg_transcode(FfmpegConfig(n_frames=4000, seed=5)))
-    for i, cfg in enumerate(desktop_suite(seed + 56)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-    daemon = SelfTuningDaemon(
-        rt,
-        analyser_config=AnalyserConfig(
-            spectrum=SpectrumConfig(f_min=20.0, f_max=100.0, df=0.1), horizon_ns=2 * SEC
-        ),
-        controller_config=TaskControllerConfig(sampling_period=100 * MS),
-    )
+    daemon = build_daemon(rt, seed=21, n_frames=280)
     if telemetry:
         instrument_daemon(daemon)
     daemon.start()
@@ -307,8 +230,8 @@ def _daemon(telemetry: bool):
 #: closed-loop scenario name -> ``build(telemetry) -> (runtime, horizon)``;
 #: short horizons of the experiments' own configurations and seeds
 CLOSED_LOOP_SCENARIOS = {
-    "fig13-lfspp": _fig13_lfspp,
-    "fig13-lfs": _fig13_lfs,
+    "fig13-lfspp": partial(_fig13, "lfs++"),
+    "fig13-lfs": partial(_fig13, "lfs"),
     "tab03-load50": _tab03_load50,
     "events-cliff": _events_cliff,
     "faults-saturation": _faults_saturation,
@@ -328,8 +251,9 @@ def closed_loop_digest(name: str, *, telemetry: bool = False) -> str:
     - every granted ``(budget, period)`` pair the controller actuated;
 
     and the virtual time of every supervisor compression (Eq. 1).
-    ``telemetry=True`` instruments the runtime before anything spawns;
-    the digest must not move.
+    ``telemetry=True`` instruments the runtime where the scenario's own
+    code does (before the playback spawns, after the daemon's workload
+    does); the digest must not move.
     """
     rt, horizon = CLOSED_LOOP_SCENARIOS[name](telemetry)
     kernel = rt.kernel
@@ -351,10 +275,8 @@ def closed_loop_digest(name: str, *, telemetry: bool = False) -> str:
         task = rt.tasks[pid]
         sha.update(b"|task:%d" % pid)
         for stamp, est in task.analyser.history if task.analyser is not None else ():
-            if est is None:
-                sha.update(b"|est:%d:-" % stamp)
-            else:
-                sha.update(f"|est:{stamp}:{est.period_ns}:{est.frequency!r}:{est.n_events}".encode())
+            fields = "-" if est is None else f"{est.period_ns}:{est.frequency!r}:{est.n_events}"
+            sha.update(f"|est:{stamp}:{fields}".encode())
         for now, granted in task.controller.granted_history:
             sha.update(b"|grant:%d:%d:%d" % (now, granted.budget, granted.period))
     sha.update(b"|compressions:" + b",".join(b"%d" % t for t in compressions))
@@ -362,7 +284,8 @@ def closed_loop_digest(name: str, *, telemetry: bool = False) -> str:
 
 
 #: closed-loop digests recorded on the hand-built playbacks the
-#: experiments used before they shared one builder; regenerate under the
+#: experiments used before they shared
+#: :func:`repro.experiments.fig13.build_playback`; regenerate under the
 #: same rule as :data:`GOLDEN_DIGESTS`
 CLOSED_LOOP_DIGESTS: dict[str, str] = {
     "fig13-lfspp": "35a9cd359b42a0063026135d5341a693cf8e3acb235cecf9858048c134e3baaf",

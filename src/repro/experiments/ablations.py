@@ -30,13 +30,11 @@ from repro.core.analyser import AnalyserConfig, PeriodAnalyser
 from repro.core.controller import TaskControllerConfig
 from repro.core.lfspp import LfsPlusPlusConfig
 from repro.core.predictors import Ewma, MovingAverage
-from repro.core.spectrum import SpectrumConfig
 from repro.experiments.base import ExperimentResult
-from repro.experiments.fig13 import VIDEO_SPECTRUM
+from repro.experiments.fig13 import VIDEO_ANALYSER, build_playback
 from repro.metrics import InterFrameProbe
 from repro.sim.time import MS, SEC
 from repro.workloads import VideoPlayer
-from repro.workloads.desktop import desktop_load, desktop_suite
 from repro.workloads.mplayer import VideoPlayerConfig
 
 
@@ -51,19 +49,14 @@ def _playback(
 ):
     """One adaptive playback run; returns (ift ms array, task, player)."""
     rt = SelfTuningRuntime(reservation_policy=reservation_policy)
-    player = VideoPlayer(VideoPlayerConfig(seed=seed))
-    proc = rt.spawn("mplayer", player.program(n_frames))
-    probe = InterFrameProbe(pid=proc.pid)
-    probe.install(rt.kernel)
-    for i, cfg in enumerate(desktop_suite(seed + 40)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-    task = rt.adopt(
-        proc,
+    task, player, probe = build_playback(
+        rt,
+        n_frames=n_frames,
+        seed=seed,
         feedback=feedback,
         controller_config=TaskControllerConfig(
             sampling_period=sampling_period, use_period_estimate=use_period_estimate
         ),
-        analyser_config=AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC),
     )
     rt.run(n_frames * 40 * MS)
     ift = np.array(probe.inter_frame_times, dtype=np.float64) / MS
@@ -319,21 +312,12 @@ def run_smp(*, n_players: int = 4, n_frames: int = 300) -> ExperimentResult:
     and two CPUs under *global* CBS (gEDF over the servers, migrations
     allowed).
     """
-    from repro.core import SelfTuningRuntime
     from repro.core.smp import SmpSelfTuningRuntime
-    from repro.metrics import InterFrameProbe
 
     result = ExperimentResult(
         experiment="abl-smp",
         title="Adaptive reservations on multicore: 1 CPU vs partitioned vs global",
     )
-
-    def adopt_kwargs():
-        return dict(
-            feedback=LfsPlusPlus(),
-            controller_config=TaskControllerConfig(sampling_period=100 * MS),
-            analyser_config=AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC),
-        )
 
     def summarise(label, probes, bandwidths):
         means = [np.mean(np.array(p.inter_frame_times) / MS) for p in probes if p.inter_frame_times]
@@ -356,7 +340,9 @@ def run_smp(*, n_players: int = 4, n_frames: int = 300) -> ExperimentResult:
         probes = []
         for i in range(n_players):
             player = VideoPlayer(VideoPlayerConfig(seed=20 + i, phase=i * 7 * MS))
-            cpu, proc, _ = smp.place(f"player{i}", player.program(n_frames), **adopt_kwargs())
+            cpu, proc, _ = smp.place(
+                f"player{i}", player.program(n_frames), analyser_config=VIDEO_ANALYSER
+            )
             probe = InterFrameProbe(pid=proc.pid)
             probe.install(smp.cpus[cpu].kernel)
             probes.append(probe)
@@ -372,7 +358,7 @@ def run_smp(*, n_players: int = 4, n_frames: int = 300) -> ExperimentResult:
         proc = rt.spawn(f"player{i}", player.program(n_frames))
         probe = InterFrameProbe(pid=proc.pid)
         probe.install(rt.kernel)
-        rt.adopt(proc, **adopt_kwargs())
+        rt.adopt(proc, analyser_config=VIDEO_ANALYSER)
         probes.append(probe)
     rt.run(n_frames * 40 * MS)
     summarise(
@@ -394,9 +380,6 @@ def run_rate_change(*, n_frames_per_phase: int = 300) -> ExperimentResult:
     analyser re-detects it and the loop re-converges, with the hysteresis
     bounding the adaptation latency.
     """
-    from repro.core import SelfTuningRuntime
-    from repro.metrics import InterFrameProbe
-
     result = ExperimentResult(
         experiment="abl-rate-change",
         title="Tracking a mid-run rate change (25 fps → 50 fps)",
@@ -417,12 +400,7 @@ def run_rate_change(*, n_frames_per_phase: int = 300) -> ExperimentResult:
     proc = rt.spawn("mplayer", chained())
     probe = InterFrameProbe(pid=proc.pid)
     probe.install(rt.kernel)
-    task = rt.adopt(
-        proc,
-        feedback=LfsPlusPlus(),
-        controller_config=TaskControllerConfig(sampling_period=100 * MS),
-        analyser_config=AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC),
-    )
+    task = rt.adopt(proc, analyser_config=VIDEO_ANALYSER)
     switch_at = n_frames_per_phase * 40 * MS
     rt.run(switch_at + n_frames_per_phase * 20 * MS)
 

@@ -83,44 +83,38 @@ def _leg_rate(times: list[int], start: int, end: int) -> float:
     return n / ((end - start) / SEC)
 
 
-def _one_rep(mode: str, intensity: float, n_frames: int, seed: int) -> dict:
-    """One playback in one activation mode; returns the metrics dict."""
-    from repro.core import EventTriggerConfig, LfsPlusPlus, SelfTuningRuntime
-    from repro.core.analyser import AnalyserConfig
+def build_cliff_playback(rt, mode: str, intensity: float, n_frames: int, seed: int):
+    """Spawn the Figure 13 playback with a decode-cost cliff on ``rt``.
+
+    Decode costs inflate by ``1 + intensity`` from :data:`CLIFF_AT` on,
+    and the controller activates in ``mode``.  Returns
+    :func:`~repro.experiments.fig13.build_playback`'s ``(task, player, probe)``.
+    """
+    from repro.core import EventTriggerConfig
     from repro.core.controller import TaskControllerConfig
-    from repro.experiments.fig13 import VIDEO_SPECTRUM
+    from repro.experiments.fig13 import build_playback
     from repro.faults.injectors import WorkloadFaults
     from repro.faults.plan import FaultPlan
-    from repro.metrics import InterFrameProbe
-    from repro.workloads import VideoPlayer
-    from repro.workloads.desktop import desktop_load, desktop_suite
-    from repro.workloads.mplayer import VideoPlayerConfig
 
-    rt = SelfTuningRuntime()
-    player = VideoPlayer(VideoPlayerConfig(seed=seed))
     cliff = WorkloadFaults(
         overload=FaultPlan.steps([(CLIFF_AT, None, intensity)]),
         compute_factor=COMPUTE_FACTOR,
         seed=seed,
     )
-    proc = rt.spawn("mplayer", cliff.wrap(player.program(n_frames)))
-    probe = InterFrameProbe(pid=proc.pid)
-    probe.install(rt.kernel)
-    for i, cfg in enumerate(desktop_suite(seed + 40)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-
-    sampling = 100 * MS
     config = TaskControllerConfig(
-        sampling_period=sampling,
-        trigger=mode,
-        events=EventTriggerConfig() if mode == "event" else None,
+        trigger=mode, events=EventTriggerConfig() if mode == "event" else None
     )
-    task = rt.adopt(
-        proc,
-        feedback=LfsPlusPlus(),
-        controller_config=config,
-        analyser_config=AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC),
+    return build_playback(
+        rt, n_frames=n_frames, seed=seed, wrap_program=cliff.wrap, controller_config=config
     )
+
+
+def _one_rep(mode: str, intensity: float, n_frames: int, seed: int) -> dict:
+    """One playback in one activation mode; returns the metrics dict."""
+    from repro.core import SelfTuningRuntime
+
+    rt = SelfTuningRuntime()
+    task, player, probe = build_cliff_playback(rt, mode, intensity, n_frames, seed)
     horizon = (n_frames * 40 + 2000) * MS
     rt.run(horizon)
 

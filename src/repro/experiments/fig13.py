@@ -20,12 +20,15 @@ LFS's std and CDF tail are several times worse.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.core import Lfs, LfsPlusPlus, SelfTuningRuntime
-from repro.core.controller import TaskControllerConfig
-from repro.core.spectrum import SpectrumConfig
 from repro.core.analyser import AnalyserConfig
+from repro.core.controller import FeedbackLaw, TaskControllerConfig
+from repro.core.runtime import AdoptedTask
+from repro.core.spectrum import SpectrumConfig
 from repro.experiments.base import ExperimentResult, Series
 from repro.metrics import InterFrameProbe, cdf_points
 from repro.sim.time import MS, SEC
@@ -36,38 +39,73 @@ from repro.workloads.mplayer import VideoPlayerConfig
 #: analyser band for the 25 fps video (fundamental 25 Hz, harmonics in band)
 VIDEO_SPECTRUM = SpectrumConfig(f_min=20.0, f_max=100.0, df=0.1)
 
+#: the video analyser: :data:`VIDEO_SPECTRUM` over a 2 s horizon
+VIDEO_ANALYSER = AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC)
 
-def run_one(law_name: str, *, n_frames: int, seed: int) -> dict:
-    """One playback run under the given feedback law; returns raw series."""
-    rt = SelfTuningRuntime()
+
+def law_config(law: str) -> dict:
+    """:func:`build_playback` arguments of feedback law ``"lfs"`` or ``"lfs++"``.
+
+    LFS++ is the builder's default loop.  LFS samples every 40 ms with
+    rate detection disabled, exactly as in §5.4 ("to make the results
+    more reliable").
+    """
+    if law == "lfs":
+        return {
+            "feedback": Lfs(),
+            "controller_config": TaskControllerConfig(
+                sampling_period=40 * MS, use_period_estimate=False
+            ),
+        }
+    if law == "lfs++":
+        return {"feedback": LfsPlusPlus()}
+    raise ValueError(f"unknown law {law!r}; use 'lfs' or 'lfs++'")
+
+
+def build_playback(
+    rt: SelfTuningRuntime,
+    *,
+    n_frames: int,
+    seed: int,
+    wrap_program: Callable | None = None,
+    feedback: FeedbackLaw | None = None,
+    controller_config: TaskControllerConfig | None = None,
+    analyser_config: AnalyserConfig | None = VIDEO_ANALYSER,
+    u_min: float = 0.0,
+) -> tuple[AdoptedTask, VideoPlayer, InterFrameProbe]:
+    """Spawn the Figure 13 adaptive playback on ``rt`` and adopt it.
+
+    mplayer plays ``n_frames`` of a seeded 25 fps video (its program
+    passed through ``wrap_program`` when given) under an inter-frame
+    probe, next to the desktop background mix, and is adopted with the
+    remaining ``rt.adopt`` arguments (default: LFS++ on the video
+    analyser band).  The caller builds ``rt`` (tracer configuration,
+    reservation policy, telemetry), adds any other processes and runs it.
+    Returns ``(task, player, probe)``.
+    """
     player = VideoPlayer(VideoPlayerConfig(seed=seed))
-    proc = rt.spawn("mplayer", player.program(n_frames))
+    program = player.program(n_frames)
+    proc = rt.spawn("mplayer", program if wrap_program is None else wrap_program(program))
     probe = InterFrameProbe(pid=proc.pid)
     probe.install(rt.kernel)
     # the desktop background mix: reservations only matter because the
     # best-effort class (where budget-exhausted tasks overflow) is busy
     for i, cfg in enumerate(desktop_suite(seed + 40)):
         rt.spawn(f"desktop{i}", desktop_load(cfg))
-
-    if law_name == "lfs":
-        feedback = Lfs()
-        controller_config = TaskControllerConfig(
-            sampling_period=40 * MS, use_period_estimate=False
-        )
-        analyser_config = None
-    elif law_name == "lfs++":
-        feedback = LfsPlusPlus()
-        controller_config = TaskControllerConfig(sampling_period=100 * MS)
-        analyser_config = AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC)
-    else:
-        raise ValueError(f"unknown law {law_name!r}")
-
     task = rt.adopt(
         proc,
         feedback=feedback,
         controller_config=controller_config,
         analyser_config=analyser_config,
+        u_min=u_min,
     )
+    return task, player, probe
+
+
+def run_one(law_name: str, *, n_frames: int, seed: int) -> dict:
+    """One playback run under the given feedback law; returns raw series."""
+    rt = SelfTuningRuntime()
+    task, player, probe = build_playback(rt, n_frames=n_frames, seed=seed, **law_config(law_name))
     rt.run((n_frames * 40 + 2000) * MS)
 
     ift_ms = np.array(probe.inter_frame_times, dtype=np.float64) / MS

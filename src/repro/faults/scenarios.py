@@ -19,8 +19,9 @@ with the deadline-miss ratio and the guard counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -74,29 +75,18 @@ class FaultRun:
 
 def _hardened_configs(hardened: bool):
     """Controller + analyser configs with the degradation guards on/off."""
-    from repro.core.analyser import AnalyserConfig
     from repro.core.controller import TaskControllerConfig
-    from repro.experiments.fig13 import VIDEO_SPECTRUM
+    from repro.experiments.fig13 import VIDEO_ANALYSER
 
-    if hardened:
-        # the decay floor is a *livable* bandwidth for 25 fps video, not a
-        # starvation level: dropout means "fly blind on the last good
-        # grant, shrinking toward the floor", not "give up on the task"
-        controller = TaskControllerConfig(
-            sampling_period=100 * MS, dropout_after=3, dropout_decay=0.9, dropout_floor=0.25
-        )
-        analyser = AnalyserConfig(
-            spectrum=VIDEO_SPECTRUM,
-            horizon_ns=2 * SEC,
-            reject_backwards=True,
-            period_band=(10 * MS, 200 * MS),
-        )
-    else:
-        controller = TaskControllerConfig(sampling_period=100 * MS)
-        analyser = AnalyserConfig(
-            spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC, reject_backwards=False
-        )
-    return controller, analyser
+    if not hardened:
+        return TaskControllerConfig(), replace(VIDEO_ANALYSER, reject_backwards=False)
+    # the decay floor is a *livable* bandwidth for 25 fps video, not a
+    # starvation level: dropout means "fly blind on the last good
+    # grant, shrinking toward the floor", not "give up on the task"
+    return (
+        TaskControllerConfig(dropout_after=3, dropout_decay=0.9, dropout_floor=0.25),
+        replace(VIDEO_ANALYSER, period_band=(10 * MS, 200 * MS)),
+    )
 
 
 def _playback(
@@ -113,13 +103,10 @@ def _playback(
     ring_capacity: int | None = None,
 ) -> FaultRun:
     """Run one faulted Figure 13 playback; ``arm(rt, harness)`` installs."""
-    from repro.core import LfsPlusPlus, SelfTuningRuntime
-    from repro.metrics import InterFrameProbe
+    from repro.core import SelfTuningRuntime
+    from repro.experiments.fig13 import build_playback
     from repro.obs.instrument import instrument_runtime
     from repro.tracer.qtrace import QTraceConfig
-    from repro.workloads import VideoPlayer
-    from repro.workloads.desktop import desktop_load, desktop_suite
-    from repro.workloads.mplayer import VideoPlayerConfig
 
     tracer_config = (
         QTraceConfig(buffer_capacity=ring_capacity) if ring_capacity is not None else None
@@ -127,21 +114,12 @@ def _playback(
     rt = SelfTuningRuntime(tracer_config=tracer_config)
     telemetry = instrument_runtime(rt)
     harness = FaultHarness()
-
-    player = VideoPlayer(VideoPlayerConfig(seed=seed))
-    program = player.program(n_frames)
-    if wrap_program is not None:
-        program = wrap_program(harness, program)
-    proc = rt.spawn("mplayer", program)
-    probe = InterFrameProbe(pid=proc.pid)
-    probe.install(rt.kernel)
-    for i, cfg in enumerate(desktop_suite(seed + 40)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-
     controller_config, analyser_config = _hardened_configs(hardened)
-    task = rt.adopt(
-        proc,
-        feedback=LfsPlusPlus(),
+    task, player, probe = build_playback(
+        rt,
+        n_frames=n_frames,
+        seed=seed,
+        wrap_program=None if wrap_program is None else partial(wrap_program, harness),
         controller_config=controller_config,
         analyser_config=analyser_config,
         # the u_min guarantee is one of the guards under test: the

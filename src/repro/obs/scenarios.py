@@ -25,40 +25,13 @@ from repro.obs.telemetry import Telemetry, TelemetryConfig
 
 def trace_fig13(*, n_frames: int = 250, seed: int = 13, law: str = "lfs++") -> Telemetry:
     """The Figure 13 mplayer playback under adaptive reservations."""
-    from repro.core import Lfs, LfsPlusPlus, SelfTuningRuntime
-    from repro.core.analyser import AnalyserConfig
-    from repro.core.controller import TaskControllerConfig
-    from repro.experiments.fig13 import VIDEO_SPECTRUM
-    from repro.sim.time import MS, SEC
-    from repro.workloads import VideoPlayer
-    from repro.workloads.desktop import desktop_load, desktop_suite
-    from repro.workloads.mplayer import VideoPlayerConfig
+    from repro.core import SelfTuningRuntime
+    from repro.experiments.fig13 import build_playback, law_config
+    from repro.sim.time import MS
 
     rt = SelfTuningRuntime()
     telemetry = instrument_runtime(rt)
-    player = VideoPlayer(VideoPlayerConfig(seed=seed))
-    proc = rt.spawn("mplayer", player.program(n_frames))
-    for i, cfg in enumerate(desktop_suite(seed + 40)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-
-    if law == "lfs":
-        feedback = Lfs()
-        controller_config = TaskControllerConfig(
-            sampling_period=40 * MS, use_period_estimate=False
-        )
-        analyser_config = None
-    elif law == "lfs++":
-        feedback = LfsPlusPlus()
-        controller_config = TaskControllerConfig(sampling_period=100 * MS)
-        analyser_config = AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC)
-    else:
-        raise ValueError(f"unknown law {law!r}; use 'lfs' or 'lfs++'")
-    rt.adopt(
-        proc,
-        feedback=feedback,
-        controller_config=controller_config,
-        analyser_config=analyser_config,
-    )
+    build_playback(rt, n_frames=n_frames, seed=seed, **law_config(law))
     rt.run((n_frames * 40 + 2000) * MS)
     telemetry.close_open_spans()
     return telemetry
@@ -69,32 +42,33 @@ def trace_fig13_lfs(*, n_frames: int = 250, seed: int = 13) -> Telemetry:
     return trace_fig13(n_frames=n_frames, seed=seed, law="lfs")
 
 
-def trace_daemon(*, duration_s: float = 12.0, seed: int = 21, n_frames: int = 280) -> Telemetry:
-    """Autonomous adoption: the daemon probes, rejects and adopts."""
-    from repro.core import SelfTuningRuntime
-    from repro.core.analyser import AnalyserConfig
-    from repro.core.controller import TaskControllerConfig
+def build_daemon(rt, *, seed: int, n_frames: int):
+    """mplayer, an ffmpeg transcode and a desktop mix under a daemon.
+
+    The :class:`~repro.core.daemon.SelfTuningDaemon` watches ``rt`` with
+    the video analyser band; it is returned unstarted.
+    """
     from repro.core.daemon import SelfTuningDaemon
-    from repro.core.spectrum import SpectrumConfig
-    from repro.obs.instrument import instrument_daemon
-    from repro.sim.time import MS, SEC
+    from repro.experiments.fig13 import VIDEO_ANALYSER
     from repro.workloads import FfmpegConfig, VideoPlayer, ffmpeg_transcode
     from repro.workloads.desktop import desktop_load, desktop_suite
     from repro.workloads.mplayer import VideoPlayerConfig
 
-    rt = SelfTuningRuntime()
-    player = VideoPlayer(VideoPlayerConfig(seed=seed))
-    rt.spawn("mplayer", player.program(n_frames))
+    rt.spawn("mplayer", VideoPlayer(VideoPlayerConfig(seed=seed)).program(n_frames))
     rt.spawn("ffmpeg", ffmpeg_transcode(FfmpegConfig(n_frames=4000, seed=5)))
     for i, cfg in enumerate(desktop_suite(seed + 56)):
         rt.spawn(f"desktop{i}", desktop_load(cfg))
-    daemon = SelfTuningDaemon(
-        rt,
-        analyser_config=AnalyserConfig(
-            spectrum=SpectrumConfig(f_min=20.0, f_max=100.0, df=0.1), horizon_ns=2 * SEC
-        ),
-        controller_config=TaskControllerConfig(sampling_period=100 * MS),
-    )
+    return SelfTuningDaemon(rt, analyser_config=VIDEO_ANALYSER)
+
+
+def trace_daemon(*, duration_s: float = 12.0, seed: int = 21, n_frames: int = 280) -> Telemetry:
+    """Autonomous adoption: the daemon probes, rejects and adopts."""
+    from repro.core import SelfTuningRuntime
+    from repro.obs.instrument import instrument_daemon
+    from repro.sim.time import SEC
+
+    rt = SelfTuningRuntime()
+    daemon = build_daemon(rt, seed=seed, n_frames=n_frames)
     telemetry = instrument_daemon(daemon)
     daemon.start()
     rt.run(int(duration_s * SEC))
