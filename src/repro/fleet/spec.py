@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -42,6 +43,8 @@ def _ms_to_ns(value: Any, key: str, where: str) -> int:
     """Convert a TOML millisecond value (int or float) to integer ns."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{where}: {key!r} must be a number of milliseconds, got {value!r}")
+    if not math.isfinite(value):
+        raise SpecError(f"{where}: {key!r} must be a finite number of milliseconds, got {value!r}")
     if value < 0:
         raise SpecError(f"{where}: {key!r} must be >= 0 ms, got {value!r}")
     return round(value * MS)

@@ -155,6 +155,13 @@ class TestActionableErrors:
                 }
             )
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("line", ["horizon_ms = 1500.0", "budget_ms = 4.0"])
+    def test_non_finite_durations(self, line, value):
+        key = line.split(" = ")[0]
+        with pytest.raises(SpecError, match=rf"{key}.*finite.*{value}"):
+            scenario_from_toml(SCENARIO.replace(line, f"{key} = {value}"))
+
 
 ADAPTIVE_SCENARIO = """
 [scenario]
