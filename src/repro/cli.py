@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 import sys
 
 from repro.experiments import REGISTRY
@@ -43,6 +44,37 @@ def _parse_overrides(pairs: list[str]) -> dict:
         except (ValueError, SyntaxError):
             out[key] = raw
     return out
+
+
+def _check_overrides(target, overrides: dict, command: str) -> dict:
+    """Match ``overrides`` against ``target``'s keyword parameters.
+
+    Every key must name a parameter (the runner's ``map_fn`` hook is not
+    one), and every value must have the type of that parameter's default
+    (an int may stand for a float).  A mismatch is a usage error: one line
+    on stderr listing the accepted keys, exit status 2.
+    """
+    params = {
+        name: p.default
+        for name, p in inspect.signature(target).parameters.items()
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY) and name != "map_fn"
+    }
+    for key, value in overrides.items():
+        default = params.get(key, inspect.Parameter.empty)
+        if key not in params:
+            problem = f"unknown key {key!r}"
+        elif default is None or default is inspect.Parameter.empty:
+            continue
+        elif isinstance(default, float) and type(value) is int:
+            continue
+        elif type(value) is not type(default):
+            problem = f"{key}={value!r}: expected {type(default).__name__}"
+        else:
+            continue
+        accepted = ", ".join(sorted(params)) or "(none)"
+        print(f"repro-exp {command}: {problem}; accepted keys: {accepted}", file=sys.stderr)
+        raise SystemExit(2)
+    return overrides
 
 
 def _make_cache(args):
@@ -81,6 +113,7 @@ def _run_one(
 
     if name not in REGISTRY:
         raise SystemExit(f"unknown experiment {name!r}; try 'repro-exp list'")
+    _check_overrides(REGISTRY[name].run, overrides, f"run {name}")
     outcome = run_experiment(name, overrides, jobs=jobs, cache=cache)
     print(outcome.result.to_text())
     if outcome.cached:
@@ -556,7 +589,9 @@ def _trace(args) -> int:
             f"unknown trace scenario {args.scenario!r}; "
             f"known: {', '.join(sorted(TRACE_SCENARIOS))}"
         )
-    telemetry = run_trace_scenario(args.scenario, _parse_overrides(args.overrides))
+    overrides = _parse_overrides(args.overrides)
+    _check_overrides(TRACE_SCENARIOS[args.scenario], overrides, f"trace {args.scenario}")
+    telemetry = run_trace_scenario(args.scenario, overrides)
     path = args.output or f"{args.scenario}.perfetto.json"
     write_chrome_trace(telemetry, path)
     cats = ", ".join(sorted(telemetry.span_categories()))
@@ -582,7 +617,9 @@ def _faults(args) -> int:
             f"unknown fault scenario {args.scenario!r}; "
             f"known: {', '.join(sorted(FAULT_SCENARIOS))}"
         )
-    run = run_fault_scenario(args.scenario, _parse_overrides(args.overrides))
+    overrides = _parse_overrides(args.overrides)
+    _check_overrides(FAULT_SCENARIOS[args.scenario], overrides, f"faults {args.scenario}")
+    run = run_fault_scenario(args.scenario, overrides)
     print(run.report_text())
     if args.output:
         from repro.obs.export import write_chrome_trace

@@ -28,6 +28,35 @@ class TestOverrideParsing:
             _parse_overrides(["oops"])
 
 
+class TestOverrideChecking:
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["run", "fig13", "bogus=1"], "unknown key 'bogus'"),
+            (["run", "fig13", "n_frames=abc"], "n_frames='abc': expected int"),
+            (["trace", "fig13", "bogus=1"], "unknown key 'bogus'"),
+            (["faults", "overload", "hardened=1"], "hardened=1: expected bool"),
+        ],
+    )
+    def test_mismatch_exits_2_with_one_line(self, argv, problem, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and problem in err
+        assert "accepted keys:" in err and "n_frames" in err and "seed" in err
+
+    def test_int_stands_for_float(self):
+        from repro.cli import _check_overrides
+
+        def target(*, x: float = 0.5, map_fn=map):
+            return x
+
+        assert _check_overrides(target, {"x": 2}, "run t") == {"x": 2}
+        with pytest.raises(SystemExit):
+            _check_overrides(target, {"map_fn": 1}, "run t")
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
