@@ -26,16 +26,9 @@ facts.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.lint.callgraph import (
-    ModuleFacts,
-    ProjectGraph,
-    combine_facts,
-    extract_module_facts,
-    failed_module_facts,
-)
+from repro.analysis.lint.callgraph import ModuleFacts, ProjectGraph, combine_facts
 
 #: The instruction classes of :mod:`repro.sim.instructions`; seeds the
 #: instruction table so fixtures need not re-declare them.
@@ -88,19 +81,3 @@ def build_context_from_facts(modules: list[ModuleFacts]) -> ProjectContext:
         graph=combine_facts(modules),
     )
 
-
-def build_context(sources: dict[str, str]) -> ProjectContext:
-    """Fold ``{path: source}`` into a :class:`ProjectContext`.
-
-    Extraction is per-module; combination (including the instruction
-    fixed point and effect propagation) happens once over all facts.
-    """
-    modules: list[ModuleFacts] = []
-    for path, source in sources.items():
-        try:
-            tree = ast.parse(source, filename=path)
-        except (SyntaxError, ValueError):
-            modules.append(failed_module_facts(path))
-            continue
-        modules.append(extract_module_facts(path, tree))
-    return build_context_from_facts(modules)

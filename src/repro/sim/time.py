@@ -27,16 +27,6 @@ def seconds(t_ns: int) -> float:
     return t_ns / SEC
 
 
-def millis(t_ns: int) -> float:
-    """Convert integer nanoseconds to float milliseconds."""
-    return t_ns / MS
-
-
-def micros(t_ns: int) -> float:
-    """Convert integer nanoseconds to float microseconds."""
-    return t_ns / US
-
-
 def from_seconds(t_s: float) -> int:
     """Convert float seconds to integer nanoseconds (rounded)."""
     return round(t_s * SEC)

@@ -1,7 +1,7 @@
 """Terminal visualisation helpers.
 
-Everything the examples and the CLI print beyond plain tables: ASCII
-renderings of spectra, time series and histograms.  Deliberately free of
+Everything the examples print beyond plain tables: an ASCII rendering
+of an amplitude spectrum.  Deliberately free of
 plotting-library dependencies so the repository stays runnable offline.
 """
 
@@ -44,59 +44,3 @@ def ascii_spectrum(
     pad = max(1, cols - len(axis_lo) - len(axis_hi))
     return "\n".join(lines) + "\n" + "-" * cols + "\n" + axis_lo + " " * pad + axis_hi
 
-
-def ascii_timeline(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    *,
-    rows: int = 10,
-    cols: int = 70,
-    marker: str = "*",
-) -> str:
-    """Render a time series as a scatter chart with a y-axis scale."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.size == 0 or xs.size != ys.size:
-        raise ValueError("xs and ys must be equal-length and non-empty")
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    grid = [[" "] * cols for _ in range(rows)]
-    for x, y in zip(xs, ys, strict=True):
-        col = int((x - x_lo) / (x_hi - x_lo) * (cols - 1))
-        row = int((y - y_lo) / (y_hi - y_lo) * (rows - 1))
-        grid[rows - 1 - row][col] = marker
-    lines = []
-    for i, row_chars in enumerate(grid):
-        if i == 0:
-            label = f"{y_hi:8.3g} |"
-        else:
-            label = f"{y_lo:8.3g} |" if i == rows - 1 else " " * 8 + " |"
-        lines.append(label + "".join(row_chars))
-    lines.append(" " * 9 + "+" + "-" * cols)
-    lines.append(" " * 10 + f"{x_lo:.3g}" + " " * max(1, cols - 12) + f"{x_hi:.3g}")
-    return "\n".join(lines)
-
-
-def ascii_histogram(
-    values: Sequence[float],
-    *,
-    bins: int = 12,
-    width: int = 50,
-    marker: str = "#",
-    fmt: str = "{:8.3g}",
-) -> str:
-    """Render a horizontal histogram of ``values``."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot histogram an empty sequence")
-    counts, edges = np.histogram(arr, bins=bins)
-    peak = counts.max() if counts.max() > 0 else 1
-    lines = []
-    for count, lo, hi in zip(counts, edges[:-1], edges[1:], strict=True):
-        bar = marker * int(round(count / peak * width))
-        lines.append(f"{fmt.format(lo)} - {fmt.format(hi)} |{bar} {count}")
-    return "\n".join(lines)

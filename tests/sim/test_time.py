@@ -13,8 +13,6 @@ from repro.sim.time import (
     from_micros,
     from_millis,
     from_seconds,
-    micros,
-    millis,
     seconds,
 )
 
@@ -33,12 +31,6 @@ class TestConversions:
     def test_seconds(self):
         assert seconds(2 * SEC) == 2.0
         assert seconds(SEC // 2) == 0.5
-
-    def test_millis(self):
-        assert millis(3 * MS) == 3.0
-
-    def test_micros(self):
-        assert micros(7 * US) == 7.0
 
     def test_from_seconds_round_trip(self):
         assert from_seconds(1.5) == 1_500_000_000

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.viz import ascii_histogram, ascii_spectrum, ascii_timeline
+from repro.viz import ascii_spectrum
 
 
 class TestSpectrum:
@@ -29,40 +29,3 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             ascii_spectrum([1.0, 2.0], [1.0])
 
-
-class TestTimeline:
-    def test_extremes_marked(self):
-        xs = [0, 1, 2, 3]
-        ys = [0.0, 5.0, 2.0, 10.0]
-        art = ascii_timeline(xs, ys, rows=5, cols=20)
-        lines = art.splitlines()
-        assert "*" in lines[0]  # the max lands on the top row
-        assert "*" in lines[4]  # the min on the bottom row
-        assert "10" in lines[0]
-        assert "0" in lines[4]
-
-    def test_constant_series(self):
-        art = ascii_timeline([0, 1], [3.0, 3.0])
-        assert "*" in art
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ascii_timeline([], [])
-
-
-class TestHistogram:
-    def test_counts_shown(self):
-        art = ascii_histogram([1, 1, 1, 5], bins=2, width=10)
-        lines = art.splitlines()
-        assert lines[0].endswith("3")
-        assert lines[1].endswith("1")
-
-    def test_bar_lengths_proportional(self):
-        art = ascii_histogram([1] * 10 + [5] * 5, bins=2, width=20)
-        first, second = art.splitlines()
-        assert first.count("#") == 20
-        assert second.count("#") == 10
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_histogram([])
